@@ -18,13 +18,18 @@
 //! side and the application side re-fetches the line from a remote cache.
 //!
 //! An access beyond L2 counts as an L2 miss (Table 3's third counter).
+//!
+//! Every simulated kernel op goes through this model, so its host-side
+//! state is kept small: one 16-byte word per line (see `LineState`'s
+//! invariants), all lines in one arena behind a dense header table, and
+//! per-type touch plans precomputed in [`layout::plans`].
 
 use crate::dprof::{DProf, LineAgg, TouchSide};
 use crate::layout;
-use crate::layout::LayoutVariant;
+use crate::layout::{LayoutVariant, Touch, TypePlan};
 use crate::types::{DataType, CACHE_LINE};
 use serde::{Deserialize, Serialize};
-use sim::topology::{CoreId, Machine};
+use sim::topology::{CoreId, LatencyProfile, Machine};
 
 /// Identifies one tracked object instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -67,18 +72,92 @@ impl Access {
     }
 }
 
+/// Coherence state of one modeled line, packed into one 16-byte word:
+///
+/// * bits 0..120: the sharer mask (cores holding a valid copy),
+/// * bits 120..127: the most recent toucher (the L1 heuristic),
+/// * bit 127: dirty (the sharer's copy is modified).
+///
+/// Two protocol invariants let the word leave out the owner and "ever
+/// cached" fields a plain struct carries (the differential test below
+/// checks the word against that struct):
+///
+/// * a dirty line has exactly one sharer, so the owner is the sharer
+///   mask's lowest set bit; and
+/// * a touched line never returns to zero sharers (a write leaves the
+///   writer, a read adds the reader), so `sharers == 0` means the line
+///   has never been cached.
 #[derive(Debug, Clone, Copy, Default)]
-struct LineState {
-    /// Bitmask of cores holding a valid copy.
-    sharers: u128,
-    /// Last writer.
-    owner: u16,
-    /// Most recent toucher (L1 heuristic).
-    last: u16,
-    /// Whether the owner's copy is modified.
-    dirty: bool,
-    /// Whether the line has ever been cached (cold lines come from DRAM).
-    warm: bool,
+struct LineState(u128);
+
+const _: () = assert!(std::mem::size_of::<LineState>() == 16);
+
+impl LineState {
+    const SHARERS: u128 = (1 << CacheModel::MAX_CORES) - 1;
+    const LAST_SHIFT: u32 = CacheModel::MAX_CORES as u32;
+    const DIRTY: u128 = 1 << 127;
+
+    #[inline]
+    fn sharers(self) -> u128 {
+        self.0 & Self::SHARERS
+    }
+
+    #[inline]
+    fn last(self) -> usize {
+        ((self.0 >> Self::LAST_SHIFT) & 0x7f) as usize
+    }
+
+    #[inline]
+    fn dirty(self) -> bool {
+        self.0 & Self::DIRTY != 0
+    }
+
+    /// Serves an access by core `c` and updates the line. `my_chip` is the
+    /// core mask of `c`'s chip; `home_local` says whether the object's home
+    /// node is that chip.
+    #[inline]
+    fn touch(&mut self, c: usize, my_chip: u128, home_local: bool, write: bool) -> ServiceLevel {
+        let sharers = self.sharers();
+        let me = 1u128 << c;
+        let level = if sharers & me != 0 {
+            if write && sharers != me {
+                // Upgrade: invalidate the other sharers.
+                if sharers & !me & !my_chip == 0 {
+                    ServiceLevel::L3
+                } else {
+                    ServiceLevel::RemoteL3
+                }
+            } else if self.last() == c {
+                ServiceLevel::L1
+            } else {
+                ServiceLevel::L2
+            }
+        } else if sharers == 0 {
+            // Never cached: charged local DRAM, since the allocating core
+            // whose chip is the home node brings cold lines in.
+            ServiceLevel::Ram
+        } else if sharers & my_chip != 0 {
+            // A same-chip copy; if the line is dirty it is the owner's.
+            ServiceLevel::L3
+        } else if self.dirty() {
+            ServiceLevel::RemoteL3
+        } else if home_local {
+            ServiceLevel::Ram
+        } else {
+            ServiceLevel::RemoteRam
+        };
+        let state = if write {
+            me | Self::DIRTY
+        } else if sharers == me {
+            me | (self.0 & Self::DIRTY)
+        } else {
+            // A read by another core downgrades Modified to Shared (the
+            // owner's copy is written back).
+            sharers | me
+        };
+        self.0 = state | (c as u128) << Self::LAST_SHIFT;
+        level
+    }
 }
 
 /// Per-line dprof-v2 ledger: byte-granular fetch/touch accounting between
@@ -107,7 +186,6 @@ struct LineLedger {
 // The ledger rides alongside every modeled hot line when dprof-v2 is on;
 // keep it within one cache line of host memory per three modeled lines.
 const _: () = assert!(std::mem::size_of::<LineLedger>() <= 48);
-const _: () = assert!(std::mem::size_of::<LineState>() <= 32);
 
 impl LineLedger {
     /// No open generation.
@@ -217,15 +295,55 @@ struct ObjProf {
     writers: Box<[u128]>,
 }
 
-#[derive(Debug)]
-struct Obj {
-    ty: DataType,
+impl ObjProf {
+    fn new(ty: DataType) -> Self {
+        let nf = layout::fields(ty).len();
+        Self {
+            readers: vec![0; nf].into_boxed_slice(),
+            writers: vec![0; nf].into_boxed_slice(),
+        }
+    }
+
+    fn reset(&mut self) {
+        self.readers.fill(0);
+        self.writers.fill(0);
+    }
+}
+
+/// One tracked object: where its lines sit in the arena, plus what every
+/// access needs to know about it.
+#[derive(Debug, Clone, Copy)]
+struct ObjHeader {
+    /// Index of the object's first line in [`CacheModel::lines`].
+    base: u32,
+    /// Materialized lines: the type's hot prefix.
+    n_lines: u16,
+    /// Chip of the allocating core: the home node of the memory.
     home_chip: u16,
-    lines: Box<[LineState]>,
-    prof: Option<ObjProf>,
-    /// dprof-v2 ledger, one entry per materialized line; `None` unless v2
-    /// was enabled when the object was allocated (or first recycled).
-    ledger: Option<Box<[LineLedger]>>,
+    ty: DataType,
+    live: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<ObjHeader>() <= 12);
+
+/// The slot for object `id` in a plane's side table, growing the table on
+/// demand (a plane's table stays empty while the plane is off).
+fn side_slot<T>(table: &mut Vec<Option<T>>, id: usize) -> &mut Option<T> {
+    if table.len() <= id {
+        table.resize_with(id + 1, || None);
+    }
+    &mut table[id]
+}
+
+fn cycles(lat: &LatencyProfile, level: ServiceLevel) -> u64 {
+    match level {
+        ServiceLevel::L1 => lat.l1,
+        ServiceLevel::L2 => lat.l2,
+        ServiceLevel::L3 => lat.l3,
+        ServiceLevel::Ram => lat.ram,
+        ServiceLevel::RemoteL3 => lat.remote_l3,
+        ServiceLevel::RemoteRam => lat.remote_ram,
+    }
 }
 
 /// The machine-wide coherence model. See the module docs.
@@ -234,21 +352,34 @@ pub struct CacheModel {
     machine: Machine,
     chip_of: Vec<u16>,
     chip_mask: Vec<u128>,
-    /// Object ids are assigned sequentially and recycled through the slab
-    /// pools, so the table is a plain slab indexed by id (slot 0 unused)
-    /// rather than a hash map — every tracked access starts with this
-    /// lookup.
-    objs: Vec<Option<Obj>>,
+    /// Object headers indexed by id. Ids are assigned sequentially and
+    /// never reused (the slab pools recycle objects instead of freeing
+    /// them), so the table is a dense vector; slot 0 is unused.
+    objs: Vec<ObjHeader>,
+    /// Every object's line states back to back: object `id` owns
+    /// `lines[base..base + n_lines]`. A freed object's lines stay put.
+    lines: Vec<LineState>,
+    /// DProf reader/writer masks by object id; filled only while DProf
+    /// records.
+    prof: Vec<Option<ObjProf>>,
+    /// dprof-v2 ledgers by object id, one entry per materialized line;
+    /// filled only while the ledger records.
+    ledger: Vec<Option<Box<[LineLedger]>>>,
     live: usize,
-    next_id: u64,
     /// Which field layout the model places objects with.
     variant: LayoutVariant,
+    /// The static touch plans of `variant`, indexed by type.
+    plans: &'static [TypePlan],
     /// The DProf profiler; enable before a run to collect Table 4 /
     /// Figure 4 data.
     pub dprof: DProf,
 }
 
 impl CacheModel {
+    /// The most cores a model can track: a line's sharer mask has this
+    /// many bits (`amd48` has 48 cores, `intel80` 80).
+    pub const MAX_CORES: usize = 120;
+
     /// Creates a model for the given machine with the paper-faithful layout.
     #[must_use]
     pub fn new(machine: Machine) -> Self {
@@ -256,9 +387,17 @@ impl CacheModel {
     }
 
     /// Creates a model for the given machine using `variant` field layouts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has more than [`CacheModel::MAX_CORES`] cores.
     #[must_use]
     pub fn new_with_layout(machine: Machine, variant: LayoutVariant) -> Self {
-        assert!(machine.n_cores <= 128, "core masks are 128 bits");
+        assert!(
+            machine.n_cores <= Self::MAX_CORES,
+            "line sharer masks hold {} cores",
+            Self::MAX_CORES
+        );
         let chip_of: Vec<u16> = (0..machine.n_cores)
             .map(|i| machine.chip_of(CoreId(i as u16)).0)
             .collect();
@@ -267,14 +406,24 @@ impl CacheModel {
         for (core, chip) in chip_of.iter().enumerate() {
             chip_mask[*chip as usize] |= 1u128 << core;
         }
+        let vacant = ObjHeader {
+            base: 0,
+            n_lines: 0,
+            home_chip: 0,
+            ty: DataType::TcpSock,
+            live: false,
+        };
         Self {
             machine,
             chip_of,
             chip_mask,
-            objs: vec![None],
+            objs: vec![vacant],
+            lines: Vec::new(),
+            prof: Vec::new(),
+            ledger: Vec::new(),
             live: 0,
-            next_id: 1,
             variant,
+            plans: layout::plans(variant),
             dprof: DProf::disabled(),
         }
     }
@@ -297,35 +446,40 @@ impl CacheModel {
         self.live
     }
 
+    /// The header of a live object.
+    #[inline]
+    fn obj(&self, id: ObjId) -> ObjHeader {
+        let h = self.objs[id.0 as usize];
+        assert!(h.live, "live object");
+        h
+    }
+
     /// Allocates a fresh object of `ty`, homed on `core`'s chip. All its
     /// lines start uncached (first accesses are compulsory misses).
     pub fn alloc(&mut self, ty: DataType, core: CoreId) -> ObjId {
-        let id = self.next_id;
-        self.next_id += 1;
-        let prof = self.dprof.is_enabled().then(|| {
-            let nf = layout::fields(ty).len();
-            ObjProf {
-                readers: vec![0; nf].into_boxed_slice(),
-                writers: vec![0; nf].into_boxed_slice(),
-            }
-        });
-        let n_lines = layout::hot_lines_v(self.variant, ty);
-        let ledger = self
-            .dprof
-            .is_v2_enabled()
-            .then(|| vec![LineLedger::new(); n_lines].into_boxed_slice());
-        debug_assert_eq!(self.objs.len() as u64, id);
-        self.objs.push(Some(Obj {
-            ty,
+        let id = self.objs.len();
+        // Only the hot prefix is materialized; cold LocalOnly tails are
+        // never touched by the data path.
+        let n_lines = self.plans[ty.index()].hot_lines();
+        let base = u32::try_from(self.lines.len()).expect("line arena fits u32 indices");
+        self.lines
+            .resize(self.lines.len() + n_lines, LineState::default());
+        self.objs.push(ObjHeader {
+            base,
+            n_lines: n_lines as u16,
             home_chip: self.chip_of[core.index()],
-            // Only the hot prefix is materialized; cold LocalOnly
-            // tails are never touched by the data path.
-            lines: vec![LineState::default(); n_lines].into_boxed_slice(),
-            prof,
-            ledger,
-        }));
+            ty,
+            live: true,
+        });
+        if self.dprof.is_enabled() {
+            *side_slot(&mut self.prof, id) = Some(ObjProf::new(ty));
+        }
+        if self.dprof.is_v2_enabled() {
+            *side_slot(&mut self.ledger, id) =
+                Some(vec![LineLedger::new(); n_lines].into_boxed_slice());
+        }
         self.live += 1;
-        ObjId(id)
+        ObjId(id as u64)
     }
 
     /// The type of a live object.
@@ -335,14 +489,23 @@ impl CacheModel {
     /// Panics if the object does not exist.
     #[must_use]
     pub fn type_of(&self, id: ObjId) -> DataType {
-        self.objs[id.0 as usize].as_ref().expect("live object").ty
+        self.obj(id).ty
     }
 
     /// Frees an object: folds its sharing profile into DProf and drops it.
     pub fn free(&mut self, id: ObjId) {
-        if let Some(mut obj) = self.objs.get_mut(id.0 as usize).and_then(Option::take) {
-            self.live -= 1;
-            self.fold(&mut obj);
+        let i = id.0 as usize;
+        let Some(h) = self.objs.get_mut(i).filter(|h| h.live) else {
+            return;
+        };
+        h.live = false;
+        let ty = h.ty;
+        self.live -= 1;
+        if let Some(mut prof) = self.prof.get_mut(i).and_then(Option::take) {
+            Self::fold_profile(&mut self.dprof, self.variant, ty, &mut prof);
+        }
+        if let Some(mut ledger) = self.ledger.get_mut(i).and_then(Option::take) {
+            Self::fold_ledger(&mut self.dprof, ty, &mut ledger);
         }
     }
 
@@ -352,54 +515,48 @@ impl CacheModel {
     pub fn recycle(&mut self, id: ObjId) {
         let enabled = self.dprof.is_enabled();
         let v2 = self.dprof.is_v2_enabled();
-        let variant = self.variant;
-        if let Some(obj) = self.objs.get_mut(id.0 as usize).and_then(Option::as_mut) {
-            // Fold, then reset masks for the next incarnation.
-            let ty = obj.ty;
-            if let Some(prof) = obj.prof.as_mut() {
-                Self::fold_profile(&mut self.dprof, variant, ty, prof);
-                prof.readers.iter_mut().for_each(|m| *m = 0);
-                prof.writers.iter_mut().for_each(|m| *m = 0);
-            } else if enabled {
+        if !enabled && !v2 {
+            return;
+        }
+        let i = id.0 as usize;
+        let Some(h) = self.objs.get(i).filter(|h| h.live) else {
+            return;
+        };
+        let (ty, n_lines) = (h.ty, usize::from(h.n_lines));
+        if enabled {
+            match side_slot(&mut self.prof, i) {
+                // Fold, then reset masks for the next incarnation.
+                Some(prof) => {
+                    Self::fold_profile(&mut self.dprof, self.variant, ty, prof);
+                    prof.reset();
+                }
                 // Profiling was enabled after allocation; start tracking.
-                let nf = layout::fields(ty).len();
-                obj.prof = Some(ObjProf {
-                    readers: vec![0; nf].into_boxed_slice(),
-                    writers: vec![0; nf].into_boxed_slice(),
-                });
+                slot => *slot = Some(ObjProf::new(ty)),
             }
-            if let Some(ledger) = obj.ledger.as_mut() {
-                Self::fold_ledger(&mut self.dprof, ty, ledger);
-            } else if v2 {
+        }
+        if v2 {
+            match side_slot(&mut self.ledger, i) {
+                Some(ledger) => Self::fold_ledger(&mut self.dprof, ty, ledger),
                 // v2 was enabled after allocation; start tracking.
-                obj.ledger = Some(vec![LineLedger::new(); obj.lines.len()].into_boxed_slice());
+                slot => *slot = Some(vec![LineLedger::new(); n_lines].into_boxed_slice()),
             }
         }
     }
 
     /// Folds all live objects' profiles into DProf (end of a measured run).
     pub fn fold_all_live(&mut self) {
-        let dprof = &mut self.dprof;
-        let variant = self.variant;
-        for obj in self.objs.iter_mut().filter_map(Option::as_mut) {
-            let ty = obj.ty;
-            if let Some(prof) = obj.prof.as_mut() {
-                Self::fold_profile(dprof, variant, ty, prof);
-                prof.readers.iter_mut().for_each(|m| *m = 0);
-                prof.writers.iter_mut().for_each(|m| *m = 0);
-            }
-            if let Some(ledger) = obj.ledger.as_mut() {
-                Self::fold_ledger(dprof, ty, ledger);
+        // Freeing takes an object's side entries, so every entry left
+        // belongs to a live object.
+        for (i, slot) in self.prof.iter_mut().enumerate() {
+            if let Some(prof) = slot {
+                Self::fold_profile(&mut self.dprof, self.variant, self.objs[i].ty, prof);
+                prof.reset();
             }
         }
-    }
-
-    fn fold(&mut self, obj: &mut Obj) {
-        if let Some(prof) = obj.prof.as_mut() {
-            Self::fold_profile(&mut self.dprof, self.variant, obj.ty, prof);
-        }
-        if let Some(ledger) = obj.ledger.as_mut() {
-            Self::fold_ledger(&mut self.dprof, obj.ty, ledger);
+        for (i, slot) in self.ledger.iter_mut().enumerate() {
+            if let Some(ledger) = slot {
+                Self::fold_ledger(&mut self.dprof, self.objs[i].ty, ledger);
+            }
         }
     }
 
@@ -420,88 +577,6 @@ impl CacheModel {
         dprof.v2_fold(ty, &delta);
     }
 
-    #[expect(clippy::too_many_arguments)]
-    #[inline]
-    fn touch_one(
-        lat: &sim::topology::LatencyProfile,
-        chip_of: &[u16],
-        chip_mask: &[u128],
-        home_chip: u16,
-        ls: &mut LineState,
-        c: usize,
-        my_chip: u16,
-        write: bool,
-    ) -> (u64, ServiceLevel) {
-        let me = 1u128 << c;
-        let level;
-        if ls.sharers & me != 0 {
-            if write && ls.sharers != me {
-                // Upgrade: invalidate other sharers.
-                let others = ls.sharers & !me;
-                let same_chip = others & chip_mask[my_chip as usize] == others;
-                level = if same_chip {
-                    ServiceLevel::L3
-                } else {
-                    ServiceLevel::RemoteL3
-                };
-            } else {
-                level = if ls.last == c as u16 {
-                    ServiceLevel::L1
-                } else {
-                    ServiceLevel::L2
-                };
-            }
-        } else if ls.sharers == 0 {
-            level = if !ls.warm || home_chip == my_chip {
-                // Cold lines are charged local DRAM: they are brought in by
-                // the allocating core whose chip is the home node.
-                ServiceLevel::Ram
-            } else {
-                ServiceLevel::RemoteRam
-            };
-        } else if ls.dirty {
-            let owner_chip = chip_of[ls.owner as usize];
-            level = if owner_chip == my_chip {
-                ServiceLevel::L3
-            } else {
-                ServiceLevel::RemoteL3
-            };
-        } else if ls.sharers & chip_mask[my_chip as usize] != 0 {
-            level = ServiceLevel::L3;
-        } else {
-            level = if home_chip == my_chip {
-                ServiceLevel::Ram
-            } else {
-                ServiceLevel::RemoteRam
-            };
-        }
-
-        if write {
-            ls.sharers = me;
-            ls.dirty = true;
-            ls.owner = c as u16;
-        } else {
-            // A read by another core downgrades Modified to Shared (the
-            // owner's copy is written back).
-            if ls.dirty && ls.owner != c as u16 {
-                ls.dirty = false;
-            }
-            ls.sharers |= me;
-        }
-        ls.last = c as u16;
-        ls.warm = true;
-
-        let cycles = match level {
-            ServiceLevel::L1 => lat.l1,
-            ServiceLevel::L2 => lat.l2,
-            ServiceLevel::L3 => lat.l3,
-            ServiceLevel::Ram => lat.ram,
-            ServiceLevel::RemoteL3 => lat.remote_l3,
-            ServiceLevel::RemoteRam => lat.remote_ram,
-        };
-        (cycles, level)
-    }
-
     /// Accesses one field of an object; returns the total cost.
     ///
     /// # Panics
@@ -514,60 +589,9 @@ impl CacheModel {
         field_idx: usize,
         write: bool,
     ) -> Access {
-        let c = core.index();
-        let my_chip = self.chip_of[c];
-        let lat = self.machine.lat;
-        let dprof_on = self.dprof.is_enabled();
-        let v2_on = self.dprof.is_v2_enabled();
-        let variant = self.variant;
-        let obj = self.objs[id.0 as usize].as_mut().expect("live object");
-        let ty = obj.ty;
-        let f = &layout::fields_v(variant, ty)[field_idx];
-        let side = TouchSide::of(f.tag);
-        let mut acc = Access::default();
-        let mut delta = LineAgg::default();
-        for line in f.lines() {
-            let ls = &mut obj.lines[line];
-            // A fill is an access by a core holding no copy — computed
-            // before `touch_one` mutates the sharer set.
-            let filled = v2_on && (ls.sharers >> c) & 1 == 0;
-            let (cycles, level) = Self::touch_one(
-                &lat,
-                &self.chip_of,
-                &self.chip_mask,
-                obj.home_chip,
-                ls,
-                c,
-                my_chip,
-                write,
-            );
-            acc.latency += cycles;
-            if level.is_l2_miss() {
-                acc.l2_misses += 1;
-            }
-            if v2_on {
-                if let Some(ledger) = obj.ledger.as_mut() {
-                    ledger[line].touch(&mut delta, c, filled, line_byte_mask(f, line), side);
-                }
-            }
-        }
-        if dprof_on {
-            if let Some(prof) = obj.prof.as_mut() {
-                let me = 1u128 << c;
-                if write {
-                    prof.writers[field_idx] |= me;
-                } else {
-                    prof.readers[field_idx] |= me;
-                }
-            }
-            if f.tag.shared_under_fine() {
-                self.dprof.record_shared_access(ty, acc.latency);
-            }
-        }
-        if v2_on {
-            self.dprof.v2_fold(ty, &delta);
-        }
-        acc
+        let h = self.obj(id);
+        let t = self.plans[h.ty.index()].field(field_idx);
+        self.access_plan(core, id, h, std::slice::from_ref(&t), write)
     }
 
     /// Accesses every field of `id` carrying `tag`.
@@ -578,85 +602,94 @@ impl CacheModel {
         tag: layout::FieldTag,
         write: bool,
     ) -> Access {
+        let h = self.obj(id);
+        let plan = self.plans[h.ty.index()].tagged(tag);
+        self.access_plan(core, id, h, plan, write)
+    }
+
+    /// Touches every line of every field in `plan`, in order, and records
+    /// the accesses in whichever DProf planes are on.
+    #[inline]
+    fn access_plan(
+        &mut self,
+        core: CoreId,
+        id: ObjId,
+        h: ObjHeader,
+        plan: &[Touch],
+        write: bool,
+    ) -> Access {
         let c = core.index();
         let my_chip = self.chip_of[c];
-        let lat = self.machine.lat;
+        let chip_mask = self.chip_mask[usize::from(my_chip)];
+        let home_local = h.home_chip == my_chip;
+        let lat = &self.machine.lat;
         let dprof_on = self.dprof.is_enabled();
         let v2_on = self.dprof.is_v2_enabled();
-        let variant = self.variant;
-        let obj = self.objs[id.0 as usize].as_mut().expect("live object");
-        let ty = obj.ty;
-        let fields = layout::fields_v(variant, ty);
-        let side = TouchSide::of(tag);
+        let i = id.0 as usize;
+        let lines = &mut self.lines[h.base as usize..][..usize::from(h.n_lines)];
         let mut acc = Access::default();
         let mut delta = LineAgg::default();
-        let shared_set = tag.shared_under_fine();
-        let me = 1u128 << c;
-        for &idx in layout::tag_indices(ty, tag) {
-            let f = &fields[idx as usize];
-            let mut field_acc = Access::default();
-            for line in f.lines() {
-                let ls = &mut obj.lines[line];
-                let filled = v2_on && (ls.sharers >> c) & 1 == 0;
-                let (cycles, level) = Self::touch_one(
-                    &lat,
-                    &self.chip_of,
-                    &self.chip_mask,
-                    obj.home_chip,
-                    ls,
-                    c,
-                    my_chip,
-                    write,
-                );
-                field_acc.latency += cycles;
+        for t in plan {
+            let mut field = Access::default();
+            for line in usize::from(t.first)..usize::from(t.last) + 1 {
+                let ls = &mut lines[line];
+                // A fill is an access by a core holding no copy — computed
+                // before `touch` mutates the sharer set.
+                let filled = v2_on && (ls.sharers() >> c) & 1 == 0;
+                let level = ls.touch(c, chip_mask, home_local, write);
+                field.latency += cycles(lat, level);
                 if level.is_l2_miss() {
-                    field_acc.l2_misses += 1;
+                    field.l2_misses += 1;
                 }
                 if v2_on {
-                    if let Some(ledger) = obj.ledger.as_mut() {
+                    if let Some(ledger) = self.ledger.get_mut(i).and_then(Option::as_mut) {
+                        let f = &layout::fields_v(self.variant, h.ty)[usize::from(t.field)];
+                        let side = TouchSide::of(t.tag);
                         ledger[line].touch(&mut delta, c, filled, line_byte_mask(f, line), side);
                     }
                 }
             }
             if dprof_on {
-                if let Some(prof) = obj.prof.as_mut() {
-                    if write {
-                        prof.writers[idx as usize] |= me;
+                if let Some(prof) = self.prof.get_mut(i).and_then(Option::as_mut) {
+                    let masks = if write {
+                        &mut prof.writers
                     } else {
-                        prof.readers[idx as usize] |= me;
-                    }
+                        &mut prof.readers
+                    };
+                    masks[usize::from(t.field)] |= 1u128 << c;
                 }
-                if shared_set {
-                    self.dprof.record_shared_access(ty, field_acc.latency);
+                if t.tag.shared_under_fine() {
+                    self.dprof.record_shared_access(h.ty, field.latency);
                 }
             }
-            acc.add(field_acc);
+            acc.add(field);
         }
         if v2_on {
-            self.dprof.v2_fold(ty, &delta);
+            self.dprof.v2_fold(h.ty, &delta);
         }
         acc
+    }
+
+    /// The state of a live object's line.
+    fn line(&self, id: ObjId, line: usize) -> LineState {
+        let h = self.obj(id);
+        assert!(
+            line < usize::from(h.n_lines),
+            "line {line} is not materialized"
+        );
+        self.lines[h.base as usize + line]
     }
 
     /// Whether the given line of an object is currently dirty in some cache.
     #[must_use]
     pub fn line_dirty(&self, id: ObjId, line: usize) -> bool {
-        self.objs[id.0 as usize]
-            .as_ref()
-            .expect("live object")
-            .lines[line]
-            .dirty
+        self.line(id, line).dirty()
     }
 
     /// Sharer count of a line (for invariants and tests).
     #[must_use]
     pub fn line_sharers(&self, id: ObjId, line: usize) -> u32 {
-        self.objs[id.0 as usize]
-            .as_ref()
-            .expect("live object")
-            .lines[line]
-            .sharers
-            .count_ones()
+        self.line(id, line).sharers().count_ones()
     }
 }
 
@@ -778,6 +811,24 @@ mod tests {
         // Reused on C0: the line is still dirty in C6's cache — remote miss.
         let a = m.access_field(C0, id, 0, true);
         assert_eq!(a.latency, Machine::amd48().lat.remote_l3);
+    }
+
+    #[test]
+    fn machines_up_to_the_sharer_mask_width_are_accepted() {
+        let m = CacheModel::new(Machine {
+            n_cores: CacheModel::MAX_CORES,
+            ..Machine::intel80()
+        });
+        assert_eq!(m.machine().n_cores, CacheModel::MAX_CORES);
+    }
+
+    #[test]
+    #[should_panic(expected = "line sharer masks hold 120 cores")]
+    fn machines_wider_than_the_sharer_mask_are_rejected() {
+        let _ = CacheModel::new(Machine {
+            n_cores: CacheModel::MAX_CORES + 1,
+            ..Machine::intel80()
+        });
     }
 
     #[test]
@@ -931,10 +982,365 @@ mod tests {
     }
 }
 
+/// The line state and access rule the packed [`LineState`] word
+/// replaced, kept verbatim as the reference the differential proptest
+/// compares against: a plain struct with an explicit owner and "ever
+/// cached" bit, per-object line vectors, and lines walked straight off
+/// the `Field` records.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct LineState {
+        sharers: u128,
+        owner: u16,
+        last: u16,
+        dirty: bool,
+        warm: bool,
+    }
+
+    #[expect(clippy::too_many_arguments)]
+    fn touch_one(
+        lat: &LatencyProfile,
+        chip_of: &[u16],
+        chip_mask: &[u128],
+        home_chip: u16,
+        ls: &mut LineState,
+        c: usize,
+        my_chip: u16,
+        write: bool,
+    ) -> (u64, ServiceLevel) {
+        let me = 1u128 << c;
+        let level;
+        if ls.sharers & me != 0 {
+            if write && ls.sharers != me {
+                let others = ls.sharers & !me;
+                let same_chip = others & chip_mask[my_chip as usize] == others;
+                level = if same_chip {
+                    ServiceLevel::L3
+                } else {
+                    ServiceLevel::RemoteL3
+                };
+            } else {
+                level = if ls.last == c as u16 {
+                    ServiceLevel::L1
+                } else {
+                    ServiceLevel::L2
+                };
+            }
+        } else if ls.sharers == 0 {
+            level = if !ls.warm || home_chip == my_chip {
+                ServiceLevel::Ram
+            } else {
+                ServiceLevel::RemoteRam
+            };
+        } else if ls.dirty {
+            let owner_chip = chip_of[ls.owner as usize];
+            level = if owner_chip == my_chip {
+                ServiceLevel::L3
+            } else {
+                ServiceLevel::RemoteL3
+            };
+        } else if ls.sharers & chip_mask[my_chip as usize] != 0 {
+            level = ServiceLevel::L3;
+        } else {
+            level = if home_chip == my_chip {
+                ServiceLevel::Ram
+            } else {
+                ServiceLevel::RemoteRam
+            };
+        }
+        if write {
+            ls.sharers = me;
+            ls.dirty = true;
+            ls.owner = c as u16;
+        } else {
+            if ls.dirty && ls.owner != c as u16 {
+                ls.dirty = false;
+            }
+            ls.sharers |= me;
+        }
+        ls.last = c as u16;
+        ls.warm = true;
+        (cycles(lat, level), level)
+    }
+
+    struct Obj {
+        ty: DataType,
+        home_chip: u16,
+        lines: Vec<LineState>,
+    }
+
+    /// The reference coherence model (no DProf planes).
+    pub(super) struct RefModel {
+        lat: LatencyProfile,
+        chip_of: Vec<u16>,
+        chip_mask: Vec<u128>,
+        variant: LayoutVariant,
+        /// Indexed by id; slot 0 unused.
+        objs: Vec<Option<Obj>>,
+    }
+
+    /// Hot lines of `ty`, scanned from its fields.
+    pub(super) fn hot_lines(variant: LayoutVariant, ty: DataType) -> usize {
+        layout::fields_v(variant, ty)
+            .iter()
+            .filter(|f| f.tag != layout::FieldTag::LocalOnly)
+            .flat_map(layout::Field::lines)
+            .max()
+            .map_or(1, |l| l + 1)
+    }
+
+    impl RefModel {
+        pub(super) fn new(machine: &Machine, variant: LayoutVariant) -> Self {
+            let chip_of: Vec<u16> = (0..machine.n_cores)
+                .map(|i| machine.chip_of(CoreId(i as u16)).0)
+                .collect();
+            let mut chip_mask = vec![0u128; machine.n_chips()];
+            for (core, chip) in chip_of.iter().enumerate() {
+                chip_mask[*chip as usize] |= 1u128 << core;
+            }
+            Self {
+                lat: machine.lat,
+                chip_of,
+                chip_mask,
+                variant,
+                objs: vec![None],
+            }
+        }
+
+        pub(super) fn alloc(&mut self, ty: DataType, core: CoreId) -> ObjId {
+            self.objs.push(Some(Obj {
+                ty,
+                home_chip: self.chip_of[core.index()],
+                lines: vec![LineState::default(); hot_lines(self.variant, ty)],
+            }));
+            ObjId(self.objs.len() as u64 - 1)
+        }
+
+        fn obj(&self, id: ObjId) -> &Obj {
+            self.objs[id.0 as usize].as_ref().expect("live object")
+        }
+
+        fn access(&mut self, core: CoreId, id: ObjId, field_ids: &[usize], write: bool) -> Access {
+            let c = core.index();
+            let my_chip = self.chip_of[c];
+            let obj = self.objs[id.0 as usize].as_mut().expect("live object");
+            let fields = layout::fields_v(self.variant, obj.ty);
+            let mut acc = Access::default();
+            for &i in field_ids {
+                for line in fields[i].lines() {
+                    let (cycles, level) = touch_one(
+                        &self.lat,
+                        &self.chip_of,
+                        &self.chip_mask,
+                        obj.home_chip,
+                        &mut obj.lines[line],
+                        c,
+                        my_chip,
+                        write,
+                    );
+                    acc.latency += cycles;
+                    acc.l2_misses += u64::from(level.is_l2_miss());
+                }
+            }
+            acc
+        }
+
+        pub(super) fn access_field(
+            &mut self,
+            core: CoreId,
+            id: ObjId,
+            field: usize,
+            write: bool,
+        ) -> Access {
+            self.access(core, id, &[field], write)
+        }
+
+        pub(super) fn access_tagged(
+            &mut self,
+            core: CoreId,
+            id: ObjId,
+            tag: layout::FieldTag,
+            write: bool,
+        ) -> Access {
+            let ids: Vec<usize> = layout::fields_v(self.variant, self.obj(id).ty)
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.tag == tag)
+                .map(|(i, _)| i)
+                .collect();
+            self.access(core, id, &ids, write)
+        }
+
+        pub(super) fn n_lines(&self, id: ObjId) -> usize {
+            self.obj(id).lines.len()
+        }
+
+        pub(super) fn line_dirty(&self, id: ObjId, line: usize) -> bool {
+            self.obj(id).lines[line].dirty
+        }
+
+        pub(super) fn line_sharers(&self, id: ObjId, line: usize) -> u32 {
+            self.obj(id).lines[line].sharers.count_ones()
+        }
+    }
+}
+
 #[cfg(test)]
 mod proptests {
+    use super::reference::{self, RefModel};
     use super::*;
+    use crate::layout::FieldTag;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Every tag `access_tagged` may be called with: `LocalOnly` fields
+    /// can lie past the materialized hot prefix.
+    fn hot_tag(sel: u16) -> FieldTag {
+        let tags: Vec<FieldTag> = FieldTag::ALL
+            .into_iter()
+            .filter(|t| *t != FieldTag::LocalOnly)
+            .collect();
+        tags[usize::from(sel) % tags.len()]
+    }
+
+    /// Fields of `ty` that lie inside the materialized hot prefix.
+    fn hot_fields(variant: LayoutVariant, ty: DataType) -> Vec<usize> {
+        let hot = reference::hot_lines(variant, ty);
+        layout::fields_v(variant, ty)
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.lines().all(|l| l < hot))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Drives one random op sequence through the packed model and the
+    /// reference: `(core, object, op, write)` where `op % 16` picks
+    /// alloc (0), recycle (1), one field (2..=9) or one tag (10..=15), and
+    /// `op / 16` picks the type, field or tag. Every access must cost the
+    /// same and leave every line of the object in the same state.
+    fn differential(
+        machine: &Machine,
+        variant: LayoutVariant,
+        planes: bool,
+        ops: Vec<(usize, u16, u16, bool)>,
+    ) -> Result<(), TestCaseError> {
+        let mut m = CacheModel::new_with_layout(machine.clone(), variant);
+        if planes {
+            m.dprof = DProf::enabled();
+            m.dprof.enable_v2();
+        }
+        let mut r = RefModel::new(machine, variant);
+        let mut ids: Vec<ObjId> = Vec::new();
+        for (core, obj, op, write) in ops {
+            let core = CoreId(core as u16);
+            let pick = usize::from(op / 16);
+            if ids.is_empty() || op % 16 == 0 {
+                let ty = DataType::ALL[pick % DataType::ALL.len()];
+                let id = m.alloc(ty, core);
+                prop_assert_eq!(id, r.alloc(ty, core));
+                ids.push(id);
+                continue;
+            }
+            let id = ids[usize::from(obj) % ids.len()];
+            let ty = m.type_of(id);
+            match op % 16 {
+                1 => m.recycle(id),
+                2..=9 => {
+                    let fields = hot_fields(variant, ty);
+                    let f = fields[pick % fields.len()];
+                    let got = m.access_field(core, id, f, write);
+                    prop_assert_eq!(
+                        got,
+                        r.access_field(core, id, f, write),
+                        "{:?} field {}",
+                        ty,
+                        f
+                    );
+                }
+                _ => {
+                    let tag = hot_tag(op / 16);
+                    let got = m.access_tagged(core, id, tag, write);
+                    prop_assert_eq!(
+                        got,
+                        r.access_tagged(core, id, tag, write),
+                        "{:?} {:?}",
+                        ty,
+                        tag
+                    );
+                }
+            }
+            for line in 0..r.n_lines(id) {
+                prop_assert_eq!(m.line_dirty(id, line), r.line_dirty(id, line));
+                prop_assert_eq!(m.line_sharers(id, line), r.line_sharers(id, line));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the coherence invariants on one multi-line object after every
+    /// access: a dirty line has exactly one sharer, a line once touched
+    /// keeps at least one sharer (the packed word reads zero sharers as
+    /// "never cached"), an untouched line has none, and a one-line access
+    /// costs one of the six Table 1 latencies.
+    fn invariants(machine: &Machine, ops: Vec<(usize, u16, bool)>) -> Result<(), TestCaseError> {
+        let lat = machine.lat;
+        let valid = [
+            lat.l1,
+            lat.l2,
+            lat.l3,
+            lat.ram,
+            lat.remote_l3,
+            lat.remote_ram,
+        ];
+        let mut m = CacheModel::new(machine.clone());
+        let ty = DataType::TcpSock;
+        let id = m.alloc(ty, CoreId(3));
+        let fields = layout::fields(ty);
+        let mut touched = vec![false; layout::hot_lines(ty)];
+        for (core, sel, write) in ops {
+            let core = CoreId(core as u16);
+            if sel % 2 == 0 {
+                // One field: field 0 half the time, any hot field otherwise.
+                let hot = hot_fields(LayoutVariant::Paper, ty);
+                let f = if sel % 4 == 0 {
+                    0
+                } else {
+                    hot[usize::from(sel / 4) % hot.len()]
+                };
+                let a = m.access_field(core, id, f, write);
+                prop_assert!(valid.contains(&a.latency), "latency {}", a.latency);
+                fields[f].lines().for_each(|l| touched[l] = true);
+            } else {
+                let tag = hot_tag(sel / 2);
+                let a = m.access_tagged(core, id, tag, write);
+                let n = layout::fields_with_tag(ty, tag)
+                    .iter()
+                    .map(|&i| fields[i].lines().count() as u64)
+                    .sum::<u64>();
+                prop_assert!(a.l2_misses <= n);
+                prop_assert!(a.latency >= n * lat.l1 && a.latency <= n * lat.remote_ram);
+                for i in layout::fields_with_tag(ty, tag) {
+                    fields[i].lines().for_each(|l| touched[l] = true);
+                }
+            }
+            for (line, &t) in touched.iter().enumerate() {
+                let sharers = m.line_sharers(id, line);
+                if m.line_dirty(id, line) {
+                    prop_assert_eq!(sharers, 1);
+                }
+                if t {
+                    prop_assert!(sharers >= 1, "touched line {} lost every sharer", line);
+                } else {
+                    prop_assert_eq!(sharers, 0);
+                }
+            }
+        }
+        Ok(())
+    }
 
     proptest! {
         /// Coherence invariant: a dirty line has exactly one sharer; the
@@ -963,6 +1369,44 @@ mod proptests {
                 let a = m.access_field(CoreId(core as u16), id, 0, write);
                 prop_assert!(valid.contains(&a.latency), "latency {}", a.latency);
             }
+        }
+
+        /// The invariants above, plus "touched lines keep a sharer", on a
+        /// multi-line object through fields and tags, on `amd48`.
+        #[test]
+        fn invariants_hold_on_amd48(ops in proptest::collection::vec((0usize..48, any::<u16>(), any::<bool>()), 1..200)) {
+            invariants(&Machine::amd48(), ops)?;
+        }
+
+        /// The same on `intel80`, whose cores 64..80 use the sharer mask's
+        /// high word.
+        #[test]
+        fn invariants_hold_on_intel80(ops in proptest::collection::vec((0usize..80, any::<u16>(), any::<bool>()), 1..200)) {
+            invariants(&Machine::intel80(), ops)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The packed model serves every access exactly like the reference
+        /// struct model on `intel80`, all 80 cores.
+        #[test]
+        fn packed_lines_match_the_reference_on_intel80(ops in proptest::collection::vec((0usize..80, any::<u16>(), any::<u16>(), any::<bool>()), 1..300)) {
+            differential(&Machine::intel80(), LayoutVariant::Paper, false, ops)?;
+        }
+
+        /// The same on `amd48`.
+        #[test]
+        fn packed_lines_match_the_reference_on_amd48(ops in proptest::collection::vec((0usize..48, any::<u16>(), any::<u16>(), any::<bool>()), 1..300)) {
+            differential(&Machine::amd48(), LayoutVariant::Paper, false, ops)?;
+        }
+
+        /// The same under the packed layout with both DProf planes
+        /// recording: the planes never change what an access costs.
+        #[test]
+        fn packed_lines_match_the_reference_with_planes_on(ops in proptest::collection::vec((0usize..80, any::<u16>(), any::<u16>(), any::<bool>()), 1..300)) {
+            differential(&Machine::intel80(), LayoutVariant::Packed, true, ops)?;
         }
     }
 }

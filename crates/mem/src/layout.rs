@@ -98,6 +98,17 @@ pub enum FieldTag {
 }
 
 impl FieldTag {
+    /// Every tag, in declaration order (so `ALL[tag as usize] == tag`).
+    pub const ALL: [FieldTag; 7] = [
+        FieldTag::RxOnly,
+        FieldTag::AppOnly,
+        FieldTag::BothRwByRx,
+        FieldTag::BothRwByApp,
+        FieldTag::BothRo,
+        FieldTag::GlobalNode,
+        FieldTag::LocalOnly,
+    ];
+
     /// Whether a field with this tag belongs to the set DProf identifies
     /// as shared under Fine-Accept — the instrumented set whose access
     /// latencies both Table 4's last column and Figure 4 report.
@@ -608,7 +619,7 @@ fn build_all_packed() -> Vec<Vec<Field>> {
 static PACKED_LAYOUTS: OnceLock<Vec<Vec<Field>>> = OnceLock::new();
 
 /// Number of field tags (`FieldTag` discriminants).
-const N_TAGS: usize = 7;
+const N_TAGS: usize = FieldTag::ALL.len();
 
 /// Dense index of a tag: its declaration discriminant.
 #[inline]
@@ -689,12 +700,120 @@ pub fn hot_lines(ty: DataType) -> usize {
 /// [`hot_lines`] under a specific layout variant.
 #[must_use]
 pub fn hot_lines_v(variant: LayoutVariant, ty: DataType) -> usize {
-    fields_v(variant, ty)
-        .iter()
-        .filter(|f| f.tag != FieldTag::LocalOnly)
-        .flat_map(Field::lines)
-        .max()
-        .map_or(1, |l| l + 1)
+    plans(variant)[ty.index()].hot_lines()
+}
+
+/// One step of a touch plan: a field and the cache lines it overlaps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Touch {
+    /// The field's index in its type's layout (the same in both variants).
+    pub field: u16,
+    /// First line the field overlaps.
+    pub first: u16,
+    /// Last line the field overlaps (inclusive).
+    pub last: u16,
+    /// The field's tag.
+    pub tag: FieldTag,
+}
+
+impl Touch {
+    fn of(field: usize, f: &Field) -> Self {
+        let line = |off: usize| u16::try_from(off / CACHE_LINE).expect("line index fits u16");
+        Self {
+            field: u16::try_from(field).expect("field index fits u16"),
+            first: line(f.off),
+            last: line(f.off + f.len - 1),
+            tag: f.tag,
+        }
+    }
+}
+
+/// What the cache model needs of one type's layout on every access,
+/// precomputed once: each field's line span, the spans of each tag's
+/// fields in index order, and the number of hot lines.
+#[derive(Debug, Default)]
+pub struct TypePlan {
+    fields: Box<[Touch]>,
+    by_tag: [Box<[Touch]>; N_TAGS],
+    hot_lines: u16,
+}
+
+impl TypePlan {
+    fn build(fields: &[Field]) -> Self {
+        let spans: Box<[Touch]> = fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| Touch::of(i, f))
+            .collect();
+        let by_tag =
+            FieldTag::ALL.map(|tag| spans.iter().filter(|t| t.tag == tag).copied().collect());
+        let hot_lines = spans
+            .iter()
+            .filter(|t| t.tag != FieldTag::LocalOnly)
+            .map(|t| t.last + 1)
+            .max()
+            .unwrap_or(1);
+        Self {
+            fields: spans,
+            by_tag,
+            hot_lines,
+        }
+    }
+
+    /// The span of field `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[inline]
+    #[must_use]
+    pub fn field(&self, idx: usize) -> Touch {
+        self.fields[idx]
+    }
+
+    /// The spans of every field carrying `tag`, in field-index order (the
+    /// order [`tag_indices`] lists them).
+    #[inline]
+    #[must_use]
+    pub fn tagged(&self, tag: FieldTag) -> &[Touch] {
+        &self.by_tag[tag_pos(tag)]
+    }
+
+    /// Leading lines reachable through non-`LocalOnly` fields (see
+    /// [`hot_lines`]).
+    #[inline]
+    #[must_use]
+    pub fn hot_lines(&self) -> usize {
+        usize::from(self.hot_lines)
+    }
+}
+
+fn build_plans(variant: LayoutVariant) -> Box<[TypePlan]> {
+    // Placed by `DataType::index()`, never by position in `DataType::ALL`:
+    // the two orders differ (see `DataType::ALL`).
+    let mut plans: Vec<TypePlan> = (0..DataType::ALL.len())
+        .map(|_| TypePlan::default())
+        .collect();
+    for ty in DataType::ALL {
+        plans[ty.index()] = TypePlan::build(fields_v(variant, ty));
+    }
+    plans.into_boxed_slice()
+}
+
+static PLANS: OnceLock<[Box<[TypePlan]>; 2]> = OnceLock::new();
+
+/// Every type's [`TypePlan`] under `variant`, indexed by
+/// [`DataType::index`]. Built once per process and shared by every cache
+/// model, so constructing a model costs nothing here.
+#[must_use]
+pub fn plans(variant: LayoutVariant) -> &'static [TypePlan] {
+    let all = PLANS.get_or_init(|| {
+        [
+            build_plans(LayoutVariant::Paper),
+            build_plans(LayoutVariant::Packed),
+        ]
+    });
+    &all[variant as usize]
 }
 
 /// Static sharing expectation for a type: `(lines_shared, bytes_shared,
@@ -942,6 +1061,63 @@ mod tests {
         assert_eq!(hot_lines_v(LayoutVariant::Paper, DataType::TcpSock), 22);
         assert_eq!(hot_lines_v(LayoutVariant::Packed, DataType::TcpSock), 24);
         assert_eq!(hot_lines_v(LayoutVariant::Packed, DataType::SkBuff), 6);
+    }
+
+    /// Every static table the cache model reads, looked up by
+    /// `DataType::index()`, equals a fresh recomputation from `fields_v`
+    /// for each variant, type and tag. A table filled by position in
+    /// `DataType::ALL` (Table 4 order) would swap `SocketFd` and `Slab192`
+    /// here.
+    #[test]
+    fn static_tables_match_a_fresh_recomputation() {
+        for v in LayoutVariant::ALL {
+            for ty in DataType::ALL {
+                let fs = fields_v(v, ty);
+                let span = |i: usize| {
+                    let f = &fs[i];
+                    let lines: Vec<usize> = f.lines().collect();
+                    Touch {
+                        field: i as u16,
+                        first: lines[0] as u16,
+                        last: *lines.last().expect("a field spans a line") as u16,
+                        tag: f.tag,
+                    }
+                };
+                let plan = &plans(v)[ty.index()];
+                for i in 0..fs.len() {
+                    assert_eq!(plan.field(i), span(i), "{v:?} {} field {i}", ty.label());
+                }
+                for tag in FieldTag::ALL {
+                    let want: Vec<Touch> = (0..fs.len())
+                        .filter(|&i| fs[i].tag == tag)
+                        .map(span)
+                        .collect();
+                    assert_eq!(plan.tagged(tag), want, "{v:?} {} {tag:?}", ty.label());
+                    let idx: Vec<u16> = want.iter().map(|t| t.field).collect();
+                    assert_eq!(tag_indices(ty, tag), idx, "{} {tag:?}", ty.label());
+                }
+                let hot = fs
+                    .iter()
+                    .filter(|f| f.tag != FieldTag::LocalOnly)
+                    .flat_map(Field::lines)
+                    .max()
+                    .map_or(1, |l| l + 1);
+                assert_eq!(hot_lines_v(v, ty), hot, "{v:?} {}", ty.label());
+                assert_eq!(fields_v(v, ty).len(), fields(ty).len());
+            }
+        }
+    }
+
+    /// The trap the test above guards: `DataType::ALL` is in Table 4 row
+    /// order, which is not `index()` order.
+    #[test]
+    fn type_all_is_not_in_index_order() {
+        let pos = |ty: DataType| DataType::ALL.iter().position(|&t| t == ty);
+        assert_eq!(pos(DataType::SocketFd), Some(DataType::Slab192.index()));
+        assert_eq!(pos(DataType::Slab192), Some(DataType::SocketFd.index()));
+        for (i, tag) in FieldTag::ALL.iter().enumerate() {
+            assert_eq!(tag_pos(*tag), i, "FieldTag::ALL is in declaration order");
+        }
     }
 
     #[test]

@@ -48,6 +48,12 @@ pub enum DataType {
 impl DataType {
     /// All tracked types, in Table 4 row order first, then the extra
     /// reproduction-internal types.
+    ///
+    /// This is **not** [`DataType::index`] order: Table 4 lists
+    /// `SocketFd` before `Slab192`, the declaration the other way round.
+    /// Iterate `ALL` freely, but place entries of a table that is looked
+    /// up by `index()` at `ty.index()`, never at the position in `ALL`:
+    /// a positional fill silently swaps those two types' rows.
     pub const ALL: [DataType; 14] = [
         DataType::TcpSock,
         DataType::SkBuff,
