@@ -31,19 +31,49 @@
 //! ## Determinism
 //!
 //! The cluster loop is a single discrete-event loop sharing one clock
-//! with its hosts. Before dispatching a cluster event at time `t`, every
-//! live host is advanced to `t` (`Runner::run_until`, strict `<` bound)
-//! in fixed host-index order; interleaved advances execute exactly the
-//! event sequence a straight run would, so host fingerprints are
-//! unchanged by cluster pacing. The cluster draws from two dedicated RNG
-//! streams (arrival/key draws and fabric jitter/loss) so a zero fabric
-//! draws nothing, and folds its own event stream — routing decisions,
-//! crashes, evictions, retries, and each finished instance's fingerprint
-//! — into an order-sensitive cluster fingerprint. Two runs of the same
-//! `(config, seed)` are bit-identical regardless of the hosts' event
-//! queue backend.
+//! with its hosts, but hosts run ahead of it: they share no simulator
+//! state with each other, and the LB reads host state at only three
+//! points — `least_conn` routing (the open-connection estimates), host
+//! faults, and drain polls. Every other event (arrivals and retries
+//! under `hash`/`affinity`, health ticks) reads LB-side state only.
+//!
+//! * **Mailboxes.** A routing decision does not touch the host. It
+//!   appends `(routing time, delivery time, retry)` to the host's
+//!   mailbox.
+//! * **Syncs.** Before an event that reads host state, and once at the
+//!   end of the run, the loop *syncs* every live host to the event's
+//!   time `t`: it replays the host's mailbox in order
+//!   (`Runner::run_until(routing time)`, then `Runner::inject_conn`) and
+//!   then runs the host to `t` (strict `<` bound). That is the exact
+//!   call sequence a host would see if it were advanced before every
+//!   cluster event, because consecutive `run_until` calls with nothing
+//!   pushed in between compose into one. Host fingerprints are therefore
+//!   unchanged by when syncs happen.
+//! * **Parallel syncs.** Hosts are independent, so a sync hands them to
+//!   the [`crate::workers`] pool (`available_parallelism` threads, capped
+//!   at the live hosts; inline when the cluster itself runs on a sweep's
+//!   worker), and [`ClusterRunner::new`] builds the first instances the
+//!   same way. Their queues are taken from the calling thread's warm pool
+//!   in host order first; restarts, crashes and shutdowns stay on the
+//!   loop's thread. Under `least_conn` every sync follows the previous
+//!   one by at most one inter-arrival gap, too little work to pay for a
+//!   thread hand-off, so its syncs run serially.
+//!
+//! No fabric lookahead window is needed: an injection is only ever
+//! replayed into a host that has not yet passed its routing time, so
+//! the fabric latency never has to bound how far a host runs ahead.
+//! [`ClusterResult::host_syncs`] counts the syncs.
+//!
+//! The cluster draws from two dedicated RNG streams (arrival/key draws
+//! and fabric jitter/loss) so a zero fabric draws nothing, and folds its
+//! own event stream — routing decisions, crashes, evictions, retries,
+//! and each finished instance's fingerprint — into an order-sensitive
+//! cluster fingerprint. Two runs of the same `(config, seed)` are
+//! bit-identical regardless of the hosts' event queue backend and of the
+//! number of sync workers.
 
-use crate::runner::{ClientLedger, CrashReport, RunConfig, RunResult, Runner};
+use crate::runner::{ClientLedger, CrashReport, QueueParts, RunConfig, RunResult, Runner};
+use crate::workers;
 use sim::fabric::{FabricConfig, HealthCheck, HostEvent, HostEventKind, RetryPolicy};
 use sim::fingerprint::ActiveFingerprint;
 use sim::rng::SimRng;
@@ -596,6 +626,10 @@ pub struct ClusterResult {
     pub fingerprint: u64,
     /// Events dispatched: cluster loop plus every host instance.
     pub events_executed: u64,
+    /// Host syncs (see the module docs): one per event that read host
+    /// state, plus the one at the end of the run. Deterministic, and the
+    /// same at any worker count.
+    pub host_syncs: u64,
     /// Cluster goodput timeline (bucket-wise sum of host timelines).
     pub timeline: Vec<u64>,
     /// Per-host aggregates and timelines.
@@ -653,10 +687,23 @@ impl InstanceOutcome {
     }
 }
 
+/// One routed connection waiting in a host's mailbox for the next sync.
+#[derive(Debug, Clone, Copy)]
+struct Routed {
+    /// When the LB routed it: the host is run to here before injection.
+    at: Cycles,
+    /// When the fabric delivers it to the host.
+    deliver: Cycles,
+    /// Cross-host retry tag.
+    retry: bool,
+}
+
 /// One host slot: the live instance (if any) plus everything its
 /// predecessors left behind.
 struct HostSlot {
     runner: Option<Box<Runner>>,
+    /// Connections routed here since the last sync (empty while down).
+    mailbox: Vec<Routed>,
     outcomes: Vec<InstanceOutcome>,
     crashes: Vec<CrashReport>,
     lb: LbState,
@@ -666,10 +713,29 @@ struct HostSlot {
     /// Instances booted so far minus one (seed mixing).
     instance: u64,
     /// LB estimate of open connections (live + undelivered), refreshed
-    /// at every host advance; the least-connections policy routes on it.
+    /// at every sync; the least-connections policy routes on it.
     open_est: u64,
     /// Drain deadline while a drain is in progress.
     draining_deadline: Option<Cycles>,
+}
+
+impl HostSlot {
+    /// Syncs the live instance to `bound`: replays the mailbox in routing
+    /// order, runs the host to `bound` (strictly) and refreshes the
+    /// open-connection estimate.
+    fn sync(&mut self, bound: Cycles) {
+        let Some(r) = self.runner.as_mut() else {
+            debug_assert!(self.mailbox.is_empty(), "mail for a dead host");
+            return;
+        };
+        for m in self.mailbox.drain(..) {
+            r.run_until(m.at);
+            r.inject_conn(m.deliver, m.retry);
+        }
+        r.run_until(bound);
+        let led = r.client_ledger();
+        self.open_est = led.live + led.pending_inject;
+    }
 }
 
 /// Cluster-loop events.
@@ -703,17 +769,31 @@ pub struct ClusterRunner {
     events_executed: u64,
     evict_times: Vec<(u16, Cycles)>,
     pending_retries: u64,
+    host_syncs: u64,
+    /// Threads a parallel sync may use (the loop's own included).
+    workers: usize,
+    /// Test reference: sync before every cluster event, the protocol
+    /// the mailboxes replace.
+    #[cfg(test)]
+    sync_every_event: bool,
 }
 
 impl ClusterRunner {
     /// Builds the cluster: boots `cfg.hosts` instances at time 0 and
-    /// seeds the arrival, health-check, and fault schedules.
+    /// seeds the arrival, health-check, and fault schedules. The instances
+    /// are built, and later synced, on up to `available_parallelism`
+    /// threads, or inline when the caller is itself a pool worker (see
+    /// [`crate::workers`]).
     ///
     /// # Panics
     ///
     /// Panics if [`ClusterConfig::validate`] rejects the configuration.
     #[must_use]
     pub fn new(cfg: ClusterConfig) -> Self {
+        Self::with_workers(cfg, workers::available())
+    }
+
+    fn with_workers(cfg: ClusterConfig, workers: usize) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid cluster config: {e}");
         }
@@ -725,11 +805,10 @@ impl ClusterRunner {
             }
         }
         ring.sort_unstable();
-        let hosts = (0..cfg.hosts as u16)
-            .map(|h| HostSlot {
-                runner: Some(Box::new(Runner::new(Self::host_config(
-                    &cfg, end_at, h, 0, 0,
-                )))),
+        let mut hosts: Vec<HostSlot> = (0..cfg.hosts)
+            .map(|_| HostSlot {
+                runner: None,
+                mailbox: Vec::new(),
                 outcomes: Vec::new(),
                 crashes: Vec::new(),
                 lb: LbState::InService,
@@ -740,6 +819,24 @@ impl ClusterRunner {
                 draining_deadline: None,
             })
             .collect();
+        // Queues are taken from this thread's pool in host order, as a
+        // serial build would; only the building is handed out.
+        let builds: Vec<_> = hosts
+            .iter_mut()
+            .zip(0..)
+            .map(|(slot, h)| {
+                let rc = Self::host_config(&cfg, end_at, h, 0, 0);
+                let parts = QueueParts::take(rc.evq);
+                (slot, rc, parts)
+            })
+            .collect();
+        workers::for_each(
+            workers.min(cfg.hosts),
+            builds.into_iter(),
+            |(slot, rc, parts)| {
+                slot.runner = Some(Box::new(Runner::with_queue_parts(rc, parts)));
+            },
+        );
         let mut q = EventQueue::new();
         q.push(0, CEv::Arrival);
         q.push(cfg.health.interval, CEv::HealthTick);
@@ -762,6 +859,10 @@ impl ClusterRunner {
             events_executed: 0,
             evict_times: Vec::new(),
             pending_retries: 0,
+            host_syncs: 0,
+            workers: workers.max(1),
+            #[cfg(test)]
+            sync_every_event: false,
         }
     }
 
@@ -791,17 +892,35 @@ impl ClusterRunner {
         self.fp.fold_event(self.now, kind, payload);
     }
 
-    /// Advances every live host to `t` (strictly) in host-index order —
-    /// the epoch protocol that keeps interleaved advances bit-identical
-    /// to a straight run — and refreshes the LB's open-connection
-    /// estimates.
-    fn advance_hosts(&mut self, t: Cycles) {
-        for slot in &mut self.hosts {
-            if let Some(r) = slot.runner.as_mut() {
-                r.run_until(t);
-                let led = r.client_ledger();
-                slot.open_est = led.live + led.pending_inject;
-            }
+    /// Syncs every live host to `t` (see the module docs). Hosts share
+    /// no state, so the order in which the workers take them changes
+    /// nothing.
+    fn sync_hosts(&mut self, t: Cycles) {
+        self.host_syncs += 1;
+        // Under least_conn every routing attempt syncs, so no sync covers
+        // more than one inter-arrival gap: too little work to pay for a
+        // thread hand-off (measured in DESIGN.md §12).
+        let workers = if self.cfg.lb == LbPolicy::LeastConn {
+            1
+        } else {
+            self.workers
+        };
+        let live = self.hosts.iter().filter(|s| s.runner.is_some()).count();
+        let hosts = self.hosts.iter_mut().filter(|s| s.runner.is_some());
+        workers::for_each(workers.min(live), hosts, |slot| slot.sync(t));
+    }
+
+    /// Whether dispatching `ev` reads host state, so the hosts must be
+    /// synced to its time first.
+    fn reads_hosts(&self, ev: &CEv) -> bool {
+        #[cfg(test)]
+        if self.sync_every_event {
+            return true;
+        }
+        match ev {
+            CEv::Fault(_) | CEv::DrainCheck(_) => true,
+            CEv::Arrival | CEv::Retry { .. } => self.cfg.lb == LbPolicy::LeastConn,
+            CEv::HealthTick => false,
         }
     }
 
@@ -937,13 +1056,13 @@ impl ClusterRunner {
         if retry {
             self.stats.retry_injections += 1;
         }
-        let at = self.now + delay;
         let slot = &mut self.hosts[hi];
         slot.open_est += 1;
-        slot.runner
-            .as_mut()
-            .expect("liveness checked above")
-            .inject_conn(at, retry);
+        slot.mailbox.push(Routed {
+            at: self.now,
+            deliver: self.now + delay,
+            retry,
+        });
         self.fold(
             FOLD_ROUTE,
             key ^ (u64::from(h) << 48) ^ (u64::from(n) << 32),
@@ -1167,7 +1286,9 @@ impl ClusterRunner {
             if t >= self.end_at {
                 break;
             }
-            self.advance_hosts(t);
+            if self.reads_hosts(&ev) {
+                self.sync_hosts(t);
+            }
             self.now = t;
             self.events_executed += 1;
             self.handle(ev);
@@ -1177,6 +1298,7 @@ impl ClusterRunner {
 
     fn finalize(mut self) -> ClusterResult {
         self.now = self.end_at;
+        self.sync_hosts(self.end_at);
         for hi in 0..self.hosts.len() {
             if self.hosts[hi].draining_deadline.take().is_some() {
                 // The run ended mid-drain; the instance finalizes like
@@ -1184,8 +1306,7 @@ impl ClusterRunner {
                 // not stranded — the window closed, not the host).
                 self.stats.drain_aborted += 1;
             }
-            if let Some(mut r) = self.hosts[hi].runner.take() {
-                r.run_until(self.end_at);
+            if let Some(r) = self.hosts[hi].runner.take() {
                 let ledger = r.client_ledger();
                 let res = (*r).shutdown();
                 let out = InstanceOutcome::from_run(ledger, res, false);
@@ -1290,6 +1411,7 @@ impl ClusterRunner {
             audit,
             fingerprint: self.fp.value(),
             events_executed: events,
+            host_syncs: self.host_syncs,
             timeline,
             per_host,
             evictions: self.evict_times,
@@ -1696,5 +1818,185 @@ mod tests {
             assert_eq!(LbPolicy::from_label(p.label()), Some(p));
         }
         assert_eq!(LbPolicy::from_label("nope"), None);
+    }
+
+    /// Runs `cfg` with one sync worker and with each of `workers`, and
+    /// asserts every observable output is identical.
+    fn assert_workers_invisible(cfg: &ClusterConfig, workers: &[usize], what: &str) {
+        let serial = ClusterRunner::with_workers(cfg.clone(), 1).run();
+        assert_eq!(serial.audit.violations(), Vec::<String>::new(), "{what}");
+        // The reference protocol: every host advanced before every event.
+        let mut eager = ClusterRunner::with_workers(cfg.clone(), 1);
+        eager.sync_every_event = true;
+        let eager = eager.run();
+        assert!(eager.host_syncs >= serial.host_syncs);
+        assert_eq!(
+            ClusterResult {
+                host_syncs: serial.host_syncs,
+                ..eager
+            },
+            serial,
+            "{what}: mailboxes differ from advancing before every event"
+        );
+        for &n in workers {
+            let par = ClusterRunner::with_workers(cfg.clone(), n).run();
+            assert_eq!(
+                par.fingerprint, serial.fingerprint,
+                "{what}: fingerprint at {n} workers"
+            );
+            assert_eq!(
+                par.per_host, serial.per_host,
+                "{what}: host reports at {n} workers"
+            );
+            assert_eq!(
+                par.timeline, serial.timeline,
+                "{what}: timeline at {n} workers"
+            );
+            assert_eq!(par.audit, serial.audit, "{what}: audit at {n} workers");
+            assert_eq!(par, serial, "{what}: result at {n} workers");
+        }
+    }
+
+    /// The worker count is invisible: for every LB policy, under a crash
+    /// and restart, a rolling drain, a lossy fabric with retries and a
+    /// flash crowd, 1, 2 and `hosts` workers produce the same cluster
+    /// fingerprint (it folds in every instance's fingerprint, in order),
+    /// host reports, timelines and audit.
+    #[test]
+    fn workers_are_invisible_across_policies_and_faults() {
+        const HOSTS: usize = 3;
+        let mut shapes: Vec<(&str, ClusterConfig)> = Vec::new();
+        let mut c = quick_cluster(HOSTS, 1_500.0);
+        c.host_events = vec![
+            HostEvent {
+                host: 1,
+                at: ms(40),
+                kind: HostEventKind::Crash,
+            },
+            HostEvent {
+                host: 1,
+                at: ms(70),
+                kind: HostEventKind::Restart,
+            },
+        ];
+        shapes.push(("crash+restart", c));
+        let mut c = quick_cluster(HOSTS, 1_500.0);
+        c.drain_timeout = ms(15);
+        c.host_events = rolling_restart(HOSTS as u16, ms(35), ms(25), ms(15), ms(2));
+        shapes.push(("rolling drain", c));
+        let mut c = quick_cluster(HOSTS, 1_500.0);
+        c.fabric.loss_p = 0.05;
+        c.fabric.jitter = us(20);
+        shapes.push(("lossy fabric", c));
+        let mut c = quick_cluster(HOSTS, 1_500.0);
+        c.flash = Some(FlashCrowd {
+            at: ms(40),
+            until: ms(80),
+            multiplier: 3.0,
+        });
+        shapes.push(("flash crowd", c));
+        for policy in LbPolicy::ALL {
+            for (name, cfg) in &shapes {
+                let mut cfg = cfg.clone();
+                cfg.lb = policy;
+                let what = format!("{} / {name}", policy.label());
+                assert_workers_invisible(&cfg, &[2, HOSTS], &what);
+            }
+        }
+    }
+
+    /// A busy keep-alive cluster: enough same-cycle events that replaying
+    /// an injection without first running the host to its routing time
+    /// changes the event order, which the fault-shape runs above are too
+    /// short to show.
+    #[test]
+    fn workers_are_invisible_on_a_busy_keepalive_cluster() {
+        let mut base = quick_base(8_000.0);
+        base.cores = 8;
+        base.workload = Workload {
+            batches: vec![4, 4, 4, 4],
+            think: ms(10),
+            ..Workload::base()
+        };
+        assert_workers_invisible(&ClusterConfig::new(2, base), &[2], "busy keep-alive");
+    }
+
+    /// Hosts sync only where the LB reads their state: once at the end
+    /// of a fault-free `hash` or `affinity` run, once more per fault, and
+    /// once per routing attempt under `least_conn`. A return to advancing
+    /// hosts before every cluster event fails here.
+    #[test]
+    fn host_syncs_count_only_host_reads() {
+        let cfg = quick_cluster(2, 2_000.0);
+        let r = ClusterRunner::new(cfg.clone()).run();
+        assert!(r.stats.arrivals > 100);
+        assert_eq!(
+            r.host_syncs, 1,
+            "a fault-free hash run syncs only at the end"
+        );
+
+        let mut c = cfg.clone();
+        c.lb = LbPolicy::AffinityAware;
+        assert_eq!(ClusterRunner::new(c).run().host_syncs, 1);
+
+        let mut c = cfg.clone();
+        c.host_events = vec![
+            HostEvent {
+                host: 0,
+                at: ms(45),
+                kind: HostEventKind::Crash,
+            },
+            HostEvent {
+                host: 0,
+                at: ms(75),
+                kind: HostEventKind::Restart,
+            },
+        ];
+        let r = ClusterRunner::new(c).run();
+        assert_eq!(r.stats.crashes, 1);
+        assert_eq!(r.host_syncs, 1 + 2, "each fault adds one sync");
+
+        let mut c = cfg;
+        c.lb = LbPolicy::LeastConn;
+        let r = ClusterRunner::new(c).run();
+        assert_eq!(r.host_syncs, r.stats.attempts + 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Random 2–4 host topologies and fault schedules: one sync
+        /// worker and one per host produce identical results.
+        #[test]
+        fn workers_are_invisible_on_random_topologies(
+            hosts in 2usize..5,
+            policy in 0usize..3,
+            loss in 0usize..3,
+            seed in 1u64..10_000,
+            faults in proptest::collection::vec((0u16..4, 5u64..75, 0usize..4), 0..5),
+        ) {
+            let mut base = quick_base(800.0);
+            base.warmup = ms(15);
+            base.measure = ms(60);
+            base.seed = seed;
+            let mut cfg = ClusterConfig::new(hosts, base);
+            cfg.lb = LbPolicy::ALL[policy];
+            cfg.fabric.loss_p = [0.0, 0.01, 0.05][loss];
+            cfg.drain_timeout = ms(10);
+            cfg.host_events = faults
+                .iter()
+                .map(|&(h, at, kind)| HostEvent {
+                    host: h % hosts as u16,
+                    at: ms(at),
+                    kind: [
+                        HostEventKind::Crash,
+                        HostEventKind::Restart,
+                        HostEventKind::DrainStart,
+                        HostEventKind::DrainDone,
+                    ][kind],
+                })
+                .collect();
+            assert_workers_invisible(&cfg, &[hosts], &format!("{cfg:?}"));
+        }
     }
 }

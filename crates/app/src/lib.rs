@@ -29,6 +29,8 @@
 //! * [`runner`] — the discrete-event loop tying the machine, NIC, TCP
 //!   stack, listen socket, servers, and clients together.
 //! * [`search`] — the offered-rate saturation search.
+//! * [`workers`] — the work-claiming thread pool behind the cluster's
+//!   parallel host syncs and the bench sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +45,7 @@ pub mod partition;
 pub mod runner;
 pub mod search;
 pub mod server;
+pub mod workers;
 pub mod workload;
 
 pub use audit::RunAudit;

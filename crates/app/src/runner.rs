@@ -495,11 +495,35 @@ const _: () = assert!(
 // runs of a sweep: the wheel's slot vectors and the slab's backing store
 // are sized by the first run and reused warm by the rest.
 thread_local! {
-    static Q_POOL: RefCell<Vec<(EventQueue<Ev>, PktSlab, LazyTimers)>> = const { RefCell::new(Vec::new()) };
+    static Q_POOL: RefCell<Vec<QueueParts>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Queues kept per thread; a sweep worker only ever needs one.
 const Q_POOL_MAX: usize = 2;
+
+/// A runner's event queue, packet slab and timer table: taken from the
+/// calling thread's pool when there is one with the right backend, so a
+/// runner can be built on another thread without changing which warm
+/// queue it gets.
+pub(crate) struct QueueParts(EventQueue<Ev>, PktSlab, LazyTimers);
+
+impl QueueParts {
+    /// Takes a pooled entry for `evq` from this thread's pool, or makes a
+    /// fresh one.
+    pub(crate) fn take(evq: Backend) -> Self {
+        Q_POOL.with(|p| {
+            let mut pool = p.borrow_mut();
+            match pool.iter().position(|parts| parts.0.backend() == evq) {
+                Some(i) => pool.swap_remove(i),
+                None => Self(
+                    EventQueue::with_backend(evq),
+                    PktSlab::default(),
+                    LazyTimers::default(),
+                ),
+            }
+        })
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct ConnApp {
@@ -573,6 +597,11 @@ impl CoreState {
 }
 
 /// The assembled simulation. Use [`Runner::run`].
+///
+/// `Send`: the cluster plane builds and advances hosts on worker
+/// threads. Their queues come from the pool of the thread that drives the
+/// cluster, and [`Runner::shutdown`]/[`Runner::crash`] run on that
+/// thread, so the warm queue pool is reused as in a serial sweep.
 pub struct Runner {
     cfg: RunConfig,
     q: EventQueue<Ev>,
@@ -667,11 +696,24 @@ pub struct Runner {
     pub dbg_sched: [u64; 4],
 }
 
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Runner>();
+};
+
 impl Runner {
     /// Builds a runner from a config.
     #[must_use]
-    #[expect(clippy::needless_range_loop)]
     pub fn new(cfg: RunConfig) -> Self {
+        let parts = QueueParts::take(cfg.evq);
+        Self::with_queue_parts(cfg, parts)
+    }
+
+    /// Builds a runner around queues already taken from a pool, so the
+    /// build itself can run on any thread.
+    #[expect(clippy::needless_range_loop)]
+    pub(crate) fn with_queue_parts(cfg: RunConfig, parts: QueueParts) -> Self {
+        let QueueParts(q, pkts, timers) = parts;
         let mut k = Kernel::new_with_layout(cfg.machine.clone(), cfg.layout);
         if cfg.lockstat {
             k.enable_lockstat();
@@ -755,19 +797,6 @@ impl Runner {
         let arrival_interval_mean = CYCLES_PER_SEC as f64 / cfg.conn_rate.max(1e-9);
         let end_at = cfg.start_at + cfg.warmup + cfg.measure;
         let n_rings = nic.n_rings();
-        // Reuse a pooled (already reset) queue with the right backend so
-        // sweep runs after the first start with warm allocations.
-        let (q, pkts, timers) = Q_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            match pool.iter().position(|(q, _, _)| q.backend() == cfg.evq) {
-                Some(i) => pool.swap_remove(i),
-                None => (
-                    EventQueue::with_backend(cfg.evq),
-                    PktSlab::default(),
-                    LazyTimers::default(),
-                ),
-            }
-        });
 
         let mut r = Self {
             rng: SimRng::new(cfg.seed),
@@ -2421,7 +2450,7 @@ impl Runner {
         Q_POOL.with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() < Q_POOL_MAX {
-                pool.push((q, pkts, timers));
+                pool.push(QueueParts(q, pkts, timers));
             }
         });
 

@@ -90,39 +90,15 @@ where
 
 /// [`sweep_map`] over any `Send` item type — the `cluster` harness maps
 /// whole cluster configs, not single-host ones, through the same pool.
+/// A cluster run on one of its workers syncs its hosts inline
+/// ([`app::workers`]), so the sweep's threads are not multiplied.
 pub fn par_map<C, T, F>(items: Vec<C>, workers: usize, f: F) -> Vec<T>
 where
     C: Send,
     T: Send,
     F: Fn(C) -> T + Sync,
 {
-    let n = items.len();
-    let workers = workers.clamp(1, n.max(1));
-    // A shared work-list plus an mpsc channel: each worker claims the
-    // next un-run config, runs it outside the lock, and sends the result
-    // back tagged with its input index.
-    let jobs: std::sync::Mutex<std::collections::VecDeque<(usize, C)>> =
-        std::sync::Mutex::new(items.into_iter().enumerate().collect());
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let jobs = &jobs;
-            let f = &f;
-            s.spawn(move || loop {
-                let job = jobs.lock().expect("sweep queue poisoned").pop_front();
-                let Some((i, cfg)) = job else { break };
-                let r = f(cfg);
-                tx.send((i, r)).expect("receiver alive");
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-        out.into_iter().map(|r| r.expect("all jobs ran")).collect()
-    })
+    app::workers::map(items, workers, f)
 }
 
 /// A short-window run config shared by the adversarial harnesses

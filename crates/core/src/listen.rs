@@ -179,7 +179,9 @@ pub struct ListenStats {
 }
 
 /// The listen-socket abstraction the runner and the benchmarks drive.
-pub trait ListenSocket {
+/// `Send`, so a whole host simulation can be advanced on a worker thread
+/// (`app::cluster` syncs independent hosts in parallel).
+pub trait ListenSocket: Send {
     /// Implementation name as printed by the harness.
     fn name(&self) -> &'static str;
 
